@@ -94,7 +94,7 @@ void BM_AnalyzeStore(benchmark::State& state) {
   }
   for (auto _ : state) {
     analysis::DiagnosticBag bag =
-        analysis::AnalyzeStore(db.store(), &db.inheritance());
+        analysis::AnalyzeStore(db.store());
     benchmark::DoNotOptimize(bag.size());
   }
   state.SetComplexityN(n_objects);

@@ -278,7 +278,7 @@ ctest --test-dir build-ci/tsan --output-on-failure -j "$JOBS" \
 
 step "bench build: all benchmark targets compile"
 cmake --build build-ci/werror -j "$JOBS" --target \
-      bench_inheritance bench_inherit_cache bench_complex_objects \
+      bench_inheritance bench_complex_objects \
       bench_composition bench_hierarchy bench_constraints bench_versions \
       bench_locking bench_ddl bench_store bench_persist bench_analysis \
       bench_wal bench_obs bench_disk_check bench_net

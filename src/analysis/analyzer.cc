@@ -8,7 +8,6 @@
 
 #include "catalog/catalog.h"
 #include "expr/ast.h"
-#include "inherit/inheritance.h"
 #include "store/store.h"
 
 namespace caddb {
@@ -626,9 +625,8 @@ class SchemaAnalyzer {
 
 class StoreAnalyzer {
  public:
-  StoreAnalyzer(const ObjectStore& store, const InheritanceManager* inheritance,
-                DiagnosticBag* bag)
-      : store_(store), inheritance_(inheritance), bag_(bag) {}
+  StoreAnalyzer(const ObjectStore& store, DiagnosticBag* bag)
+      : store_(store), bag_(bag) {}
 
   void Run() {
     for (Surrogate s : store_.AllObjects()) {
@@ -639,11 +637,6 @@ class StoreAnalyzer {
     CheckObjectCycles();
     for (const std::string& finding : store_.AuditIndexes()) {
       bag_->Add("CAD106", Severity::kError, finding, {}, "store index");
-    }
-    if (inheritance_ != nullptr) {
-      for (const std::string& finding : inheritance_->AuditCache()) {
-        bag_->Add("CAD107", Severity::kError, finding, {}, "resolution cache");
-      }
     }
   }
 
@@ -929,7 +922,6 @@ class StoreAnalyzer {
   }
 
   const ObjectStore& store_;
-  const InheritanceManager* inheritance_;
   DiagnosticBag* bag_;
 };
 
@@ -942,18 +934,16 @@ DiagnosticBag AnalyzeSchema(const Catalog& catalog) {
   return bag;
 }
 
-DiagnosticBag AnalyzeStore(const ObjectStore& store,
-                           const InheritanceManager* inheritance) {
+DiagnosticBag AnalyzeStore(const ObjectStore& store) {
   DiagnosticBag bag;
-  StoreAnalyzer(store, inheritance, &bag).Run();
+  StoreAnalyzer(store, &bag).Run();
   bag.Sort();
   return bag;
 }
 
-DiagnosticBag AnalyzeDatabase(const ObjectStore& store,
-                              const InheritanceManager* inheritance) {
+DiagnosticBag AnalyzeDatabase(const ObjectStore& store) {
   DiagnosticBag bag = AnalyzeSchema(store.catalog());
-  bag.Merge(AnalyzeStore(store, inheritance));
+  bag.Merge(AnalyzeStore(store));
   bag.Sort();
   return bag;
 }

@@ -6,7 +6,6 @@
 namespace caddb {
 
 class Catalog;
-class InheritanceManager;
 class ObjectStore;
 
 namespace analysis {
@@ -27,9 +26,7 @@ namespace analysis {
 ///    containment back-pointers match member lists, no locally stored
 ///    values for inherited (read-only) attributes, binding symmetry of
 ///    inheritance relationships, index consistency (extents / classes /
-///    where-used), and — when an InheritanceManager is supplied — that
-///    every still-valid resolution-cache entry agrees with a fresh
-///    uncached resolution.
+///    where-used).
 ///
 /// All passes are read-only and report into a DiagnosticBag; they never
 /// repair. Diagnostics come back sorted (errors first, then by line).
@@ -37,15 +34,11 @@ namespace analysis {
 /// Runs every schema pass over `catalog`.
 DiagnosticBag AnalyzeSchema(const Catalog& catalog);
 
-/// Runs every store pass over `store`. `inheritance` may be null; when
-/// given, its resolution cache is audited against fresh resolutions
-/// (CAD107).
-DiagnosticBag AnalyzeStore(const ObjectStore& store,
-                           const InheritanceManager* inheritance = nullptr);
+/// Runs every store pass over `store`.
+DiagnosticBag AnalyzeStore(const ObjectStore& store);
 
 /// Schema passes followed by store passes, merged and sorted.
-DiagnosticBag AnalyzeDatabase(const ObjectStore& store,
-                              const InheritanceManager* inheritance = nullptr);
+DiagnosticBag AnalyzeDatabase(const ObjectStore& store);
 
 }  // namespace analysis
 }  // namespace caddb

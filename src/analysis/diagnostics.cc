@@ -87,7 +87,8 @@ const std::vector<DiagnosticCodeInfo>& CodeRegistry() {
       {"CAD104", "live object of an unregistered type"},
       {"CAD105", "inheritance binding inconsistency"},
       {"CAD106", "store index inconsistency (extent / class / where-used)"},
-      {"CAD107", "resolution-cache entry disagrees with a fresh resolution"},
+      // CAD107 is retired: it audited the inheritance resolution cache,
+      // which was removed. The number is never reused.
       {"CAD201", "primary log generation moved backwards"},
       {"CAD202", "checkpoint anchor moved backwards within one generation"},
       {"CAD203", "replayed log prefix no longer matches what was applied"},

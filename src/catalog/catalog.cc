@@ -226,11 +226,9 @@ Result<const EffectiveSchema*> Catalog::FindEffectiveSchema(
   std::lock_guard<std::mutex> lock(schema_cache_mu_);
   auto it = schema_cache_.find(type_name);
   if (it != schema_cache_.end()) {
-    ++schema_cache_hits_;
     m_cache_hits_->Increment();
     return &it->second;
   }
-  ++schema_cache_misses_;
   m_cache_misses_->Increment();
   std::set<std::string> in_progress;
   obs::Span span(&obs_->trace, "catalog.compute_schema", m_compute_us_,

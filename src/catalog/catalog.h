@@ -93,13 +93,9 @@ class Catalog : public Domain::Resolver {
       const std::string& type_name) const;
 
   /// Monotone counter bumped whenever a registration invalidates the schema
-  /// cache. Resolution caches built on top of effective schemas record the
-  /// epoch at fill time and treat an epoch change as invalidation.
+  /// cache. Results memoized on effective schemas (the database's schema
+  /// analysis) record the epoch and treat a change as invalidation.
   uint64_t schema_epoch() const { return schema_epoch_; }
-
-  /// Schema-cache telemetry (FindEffectiveSchema/EffectiveSchemaFor probes).
-  uint64_t schema_cache_hits() const { return schema_cache_hits_; }
-  uint64_t schema_cache_misses() const { return schema_cache_misses_; }
 
   /// Whole-catalog validation: every referenced domain/type/inher-rel
   /// resolves, `inheriting` lists name real (effective) items of the
@@ -120,19 +116,18 @@ class Catalog : public Domain::Resolver {
   /// pointers FindEffectiveSchema handed out).
   void InvalidateSchemaCache();
 
-  /// Guards schema_cache_ and its counters: resolution runs concurrently
-  /// from transaction threads (LockInheritanceChain), so the lazy fill in
-  /// the const FindEffectiveSchema must be synchronized. Handed-out
-  /// pointers stay valid without the lock — std::map nodes are stable and
-  /// only DDL registration (single-threaded by contract) clears the map.
+  /// Guards schema_cache_: resolution runs concurrently from transaction
+  /// threads (LockInheritanceChain), so the lazy fill in the const
+  /// FindEffectiveSchema must be synchronized. Handed-out pointers stay
+  /// valid without the lock — std::map nodes are stable and only DDL
+  /// registration (single-threaded by contract) clears the map.
   mutable std::mutex schema_cache_mu_;
   mutable std::map<std::string, EffectiveSchema> schema_cache_;
-  mutable uint64_t schema_cache_hits_ = 0;
-  mutable uint64_t schema_cache_misses_ = 0;
   uint64_t schema_epoch_ = 0;
 
-  /// Registry mirrors of the per-instance telemetry above, plus the
-  /// compute-effective-schema timing (rare: once per type per epoch).
+  /// Schema-cache hit/miss counters (DatabaseStats reads them from the
+  /// registry) and the compute-effective-schema timing (rare: once per type
+  /// per epoch).
   obs::Observability* obs_;
   obs::Counter* m_cache_hits_;
   obs::Counter* m_cache_misses_;

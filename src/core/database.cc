@@ -110,6 +110,10 @@ Result<std::unique_ptr<Database>> Database::Open(
     CADDB_RETURN_IF_ERROR(db->InitPagedStore(dir, {}, opts));
     db->store_.MarkAllDirty();
   }
+  // The budget binds from here on, not during recovery: the page load
+  // brings every object in, and the index repair and fsck read them all,
+  // so trimming between those steps only evicts what they fault back in.
+  db->resident_budget_ = opts.resident_object_budget;
   CADDB_RETURN_IF_ERROR(db->Checkpoint());
   if (opts.checkpoint_interval_ms != 0) {
     db->StartCheckpointer(opts.checkpoint_interval_ms);
@@ -128,6 +132,7 @@ Result<std::unique_ptr<Database>> Database::OpenReadOnly(
                          wal::Recover(dir, db.get(), opts));
   db->generation_ = db->recovery_report_.generation;
   db->read_only_ = true;
+  db->resident_budget_ = opts.resident_object_budget;  // as in Open
   return db;
 }
 
@@ -183,7 +188,6 @@ Status Database::InitPagedStore(const std::string& dir,
   pager_ = std::make_unique<HeapPager>(heap_.get());
   store_.set_pager(pager_.get());
   store_.set_dirty_tracking(true);
-  resident_budget_ = options.resident_object_budget;
   return OkStatus();
 }
 
@@ -384,11 +388,11 @@ analysis::DiagnosticBag Database::CheckSchema() const {
 }
 
 analysis::DiagnosticBag Database::CheckStore() const {
-  return analysis::AnalyzeStore(store_, &inheritance_);
+  return analysis::AnalyzeStore(store_);
 }
 
 analysis::DiagnosticBag Database::Check() const {
-  return analysis::AnalyzeDatabase(store_, &inheritance_);
+  return analysis::AnalyzeDatabase(store_);
 }
 
 // ---- Convenience forwarding with redo logging ----

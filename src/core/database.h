@@ -219,7 +219,7 @@ class Database {
   analysis::DiagnosticBag CheckSchema() const;
   uint64_t schema_analyses_run() const { return schema_analyses_run_; }
   uint64_t schema_analyses_skipped() const { return schema_analyses_skipped_; }
-  /// Store passes only (CAD1xx), including the resolution-cache audit.
+  /// Store passes only (CAD1xx).
   analysis::DiagnosticBag CheckStore() const;
   /// Both, merged and sorted — the `caddb check` entry point.
   analysis::DiagnosticBag Check() const;

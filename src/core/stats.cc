@@ -37,14 +37,6 @@ DatabaseStats DatabaseStats::Collect(const Database& db) {
       stats.pending_notifications += db.notifications().PendingFor(s).size();
     }
   }
-  const InheritanceManager& inheritance = db.inheritance();
-  stats.cache_mode = CacheModeName(inheritance.cache_mode());
-  stats.cache_hits = inheritance.cache_hits();
-  stats.cache_misses = inheritance.cache_misses();
-  stats.cache_invalidations = inheritance.cache_invalidations();
-  stats.cache_entries = inheritance.cache_entries();
-  stats.schema_cache_hits = db.catalog().schema_cache_hits();
-  stats.schema_cache_misses = db.catalog().schema_cache_misses();
   stats.schema_analyses_run = db.schema_analyses_run();
   stats.schema_analyses_skipped = db.schema_analyses_skipped();
   const ReplicaInfo& replica = db.replica_info();
@@ -61,6 +53,13 @@ DatabaseStats DatabaseStats::Collect(const Database& db) {
   stats.inher_rel_types = db.catalog().InherRelTypeNames().size();
   stats.domains = db.catalog().DomainNames().size();
   stats.metrics = db.observability()->metrics.Snapshot();
+  auto counter = [&stats](const char* name) -> uint64_t {
+    const obs::CounterSample* c = stats.metrics.FindCounter(name);
+    return c == nullptr ? 0 : c->value;
+  };
+  stats.schema_cache_hits = counter("caddb_catalog_schema_cache_hits_total");
+  stats.schema_cache_misses =
+      counter("caddb_catalog_schema_cache_misses_total");
   return stats;
 }
 
@@ -75,11 +74,6 @@ std::string DatabaseStats::ToString() const {
          " top-level, " + std::to_string(subobjects) + " subobjects\n";
   out += "bound inheritors: " + std::to_string(bound_inheritors) + "\n";
   out += "pending changes:  " + std::to_string(pending_notifications) + "\n";
-  out += "resolution cache: " + cache_mode + ", " +
-         std::to_string(cache_entries) + " entries; " +
-         std::to_string(cache_hits) + " hits, " +
-         std::to_string(cache_misses) + " misses, " +
-         std::to_string(cache_invalidations) + " invalidations\n";
   out += "schema cache:     " + std::to_string(schema_cache_hits) +
          " hits, " + std::to_string(schema_cache_misses) + " misses\n";
   out += "schema analyses:  " + std::to_string(schema_analyses_run) +
@@ -126,14 +120,6 @@ std::string DatabaseStats::ToJson() const {
   w.EndObject();
   w.Field("pending_notifications",
           static_cast<uint64_t>(pending_notifications));
-  w.Key("resolution_cache");
-  w.BeginObject();
-  w.Field("mode", cache_mode);
-  w.Field("entries", static_cast<uint64_t>(cache_entries));
-  w.Field("hits", cache_hits);
-  w.Field("misses", cache_misses);
-  w.Field("invalidations", cache_invalidations);
-  w.EndObject();
   w.Key("schema_cache");
   w.BeginObject();
   w.Field("hits", schema_cache_hits);

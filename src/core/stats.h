@@ -28,14 +28,7 @@ struct DatabaseStats {
   size_t pending_notifications = 0;
   std::map<std::string, size_t> per_type;
 
-  // Resolution-cache telemetry: the inheritance manager's memoization cache
-  // (mode + hit/miss/invalidation counters + live entries) and the catalog's
-  // effective-schema cache.
-  std::string cache_mode;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_invalidations = 0;
-  size_t cache_entries = 0;
+  // The catalog's effective-schema cache, read from its registry counters.
   uint64_t schema_cache_hits = 0;
   uint64_t schema_cache_misses = 0;
 

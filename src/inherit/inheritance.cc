@@ -8,33 +8,12 @@ InheritanceManager::InheritanceManager(ObjectStore* store,
     : store_(store),
       notifications_(notifications),
       obs_(obs != nullptr ? obs : obs::Default()) {
-  m_cache_hits_ = obs_->metrics.GetCounter(
-      "caddb_inherit_cache_hits_total",
-      "Resolution-cache probes served from a valid entry");
-  m_cache_misses_ = obs_->metrics.GetCounter(
-      "caddb_inherit_cache_misses_total",
-      "Resolution-cache probes that fell through to a chain walk");
-  m_cache_invalidations_ = obs_->metrics.GetCounter(
-      "caddb_inherit_cache_invalidations_total",
-      "Cache probes that evicted a stale entry (also counted as misses)");
   m_resolutions_ = obs_->metrics.GetCounter(
       "caddb_inherit_resolutions_total",
-      "Inherited attribute/subclass reads resolved (cached or walked)");
+      "Inherited attribute/subclass reads resolved");
   m_resolve_us_ = obs_->metrics.GetHistogram(
       "caddb_inherit_resolve_us",
       "Inherited read latency; recorded only while tracing is enabled");
-}
-
-const char* CacheModeName(CacheMode mode) {
-  switch (mode) {
-    case CacheMode::kOff:
-      return "off";
-    case CacheMode::kGlobalStamp:
-      return "global-stamp";
-    case CacheMode::kFineGrained:
-      return "fine-grained";
-  }
-  return "?";
 }
 
 Result<Surrogate> InheritanceManager::Bind(Surrogate inheritor,
@@ -45,10 +24,6 @@ Result<Surrogate> InheritanceManager::Bind(Surrogate inheritor,
 
 Status InheritanceManager::Unbind(Surrogate inheritor) {
   Result<Surrogate> rel = BindingOf(inheritor);
-  // ObjectStore::Unbind bumps the inheritor's per-object version (the one
-  // fine-grained cache entries depend on), so cached inherited values of the
-  // inheritor — and of everything bound below it — go stale here, never
-  // serving a pre-unbind value for a now-unbound inheritor.
   CADDB_RETURN_IF_ERROR(store_->Unbind(inheritor));
   if (rel.ok() && rel->valid() && notifications_ != nullptr) {
     notifications_->Forget(*rel);
@@ -86,60 +61,18 @@ Result<std::vector<Surrogate>> InheritanceManager::InheritorsOf(
   return out;
 }
 
-template <typename T>
-bool InheritanceManager::EntryValid(const CacheEntry<T>& entry) const {
-  if (entry.schema_epoch != store_->catalog().schema_epoch()) return false;
-  if (cache_mode_ == CacheMode::kGlobalStamp) {
-    return entry.stamp == store_->global_version();
+Result<const DbObject*> InheritanceManager::TerminalOf(
+    const DbObject* obj, const EffectiveSchema* schema,
+    const std::string& item) const {
+  while (schema->IsInherited(item)) {
+    Surrogate rel_s = obj->bound_inher_rel();
+    if (!rel_s.valid()) return nullptr;
+    CADDB_ASSIGN_OR_RETURN(const DbObject* rel, store_->Get(rel_s));
+    CADDB_ASSIGN_OR_RETURN(obj, store_->Get(rel->Participant("transmitter")));
+    CADDB_ASSIGN_OR_RETURN(
+        schema, store_->catalog().FindEffectiveSchema(obj->type_name()));
   }
-  for (const auto& [id, version] : entry.deps) {
-    if (store_->ObjectVersion(Surrogate(id)) != version) return false;
-  }
-  return true;
-}
-
-template <typename T>
-const T* InheritanceManager::Probe(std::map<CacheKey, CacheEntry<T>>* cache,
-                                   const CacheKey& key) const {
-  auto it = cache->find(key);
-  if (it != cache->end()) {
-    if (EntryValid(it->second)) {
-      ++cache_hits_;
-      m_cache_hits_->Increment();
-      return &it->second.payload;
-    }
-    ++cache_invalidations_;
-    m_cache_invalidations_->Increment();
-    cache->erase(it);
-  }
-  ++cache_misses_;
-  m_cache_misses_->Increment();
-  return nullptr;
-}
-
-template <typename T>
-void InheritanceManager::FillChain(std::map<CacheKey, CacheEntry<T>>* cache,
-                                   const std::string& item,
-                                   const std::vector<const DbObject*>& chain,
-                                   bool terminal_is_local,
-                                   const T& payload) const {
-  const uint64_t stamp = store_->global_version();
-  const uint64_t epoch = store_->catalog().schema_epoch();
-  // A terminal that resolved `item` as its own local data never consults the
-  // cache on reads, so an entry keyed on it would be dead weight.
-  const size_t cached_nodes =
-      terminal_is_local ? chain.size() - 1 : chain.size();
-  for (size_t i = 0; i < cached_nodes; ++i) {
-    CacheEntry<T>& entry =
-        (*cache)[CacheKey(chain[i]->surrogate().id, item)];
-    entry.stamp = stamp;
-    entry.schema_epoch = epoch;
-    entry.deps.clear();
-    for (size_t j = i; j < chain.size(); ++j) {
-      entry.deps.emplace_back(chain[j]->surrogate().id, chain[j]->version());
-    }
-    entry.payload = payload;
-  }
+  return obj;
 }
 
 Result<Value> InheritanceManager::GetAttribute(Surrogate s,
@@ -163,45 +96,12 @@ Result<Value> InheritanceManager::GetAttribute(Surrogate s,
     return NotFound("type '" + obj->type_name() + "' has no attribute '" +
                     name + "'");
   }
-  if (!schema->IsInherited(name)) {
-    return obj->LocalAttribute(name);
-  }
-
-  if (cache_mode_ != CacheMode::kOff) {
-    if (const Value* hit = Probe(&attr_cache_, CacheKey(s.id, name))) {
-      return *hit;
-    }
-  }
-
-  // Inherited: resolve through the transmitter chain (view semantics),
-  // recording every visited object as a dependency of the result. Unbound
-  // inheritors only inherit the attribute *structure*, so the value is null
-  // (and depends on exactly the node whose binding is missing).
-  std::vector<const DbObject*> chain;
-  Value resolved = Value::Null();
-  bool terminal_is_local = false;
-  const DbObject* node = obj;
-  const EffectiveSchema* node_schema = schema;
-  while (true) {
-    chain.push_back(node);
-    if (!node_schema->IsInherited(name)) {
-      resolved = node->LocalAttribute(name);
-      terminal_is_local = true;
-      break;
-    }
-    Surrogate rel_s = node->bound_inher_rel();
-    if (!rel_s.valid()) break;
-    CADDB_ASSIGN_OR_RETURN(const DbObject* rel, store_->Get(rel_s));
-    CADDB_ASSIGN_OR_RETURN(node, store_->Get(rel->Participant("transmitter")));
-    CADDB_ASSIGN_OR_RETURN(
-        node_schema,
-        store_->catalog().FindEffectiveSchema(node->type_name()));
-  }
-
-  if (cache_mode_ != CacheMode::kOff) {
-    FillChain(&attr_cache_, name, chain, terminal_is_local, resolved);
-  }
-  return resolved;
+  // Own attributes are read locally; inherited ones resolve through the
+  // transmitter chain (view semantics). Unbound inheritors only inherit the
+  // attribute *structure*, so the value is null.
+  CADDB_ASSIGN_OR_RETURN(const DbObject* terminal,
+                         TerminalOf(obj, schema, name));
+  return terminal == nullptr ? Value::Null() : terminal->LocalAttribute(name);
 }
 
 Result<std::vector<Surrogate>> InheritanceManager::GetSubclass(
@@ -238,46 +138,13 @@ Result<std::vector<Surrogate>> InheritanceManager::GetSubclass(
     return NotFound("type '" + obj->type_name() + "' has no subclass '" +
                     name + "'");
   }
-  if (!schema->IsInherited(name)) {
-    const std::vector<Surrogate>* members = obj->Subclass(name);
-    return members == nullptr ? std::vector<Surrogate>{} : *members;
-  }
-
-  if (cache_mode_ != CacheMode::kOff) {
-    if (const std::vector<Surrogate>* hit =
-            Probe(&subclass_cache_, CacheKey(s.id, name))) {
-      return *hit;
-    }
-  }
-
-  // Same chain walk as GetAttribute: the member list is the terminal
+  // Same walk as GetAttribute: an inherited member list is the terminal
   // transmitter's local subclass, viewed read-only through the chain.
-  std::vector<const DbObject*> chain;
-  std::vector<Surrogate> resolved;
-  bool terminal_is_local = false;
-  const DbObject* node = obj;
-  const EffectiveSchema* node_schema = schema;
-  while (true) {
-    chain.push_back(node);
-    if (!node_schema->IsInherited(name)) {
-      const std::vector<Surrogate>* members = node->Subclass(name);
-      if (members != nullptr) resolved = *members;
-      terminal_is_local = true;
-      break;
-    }
-    Surrogate rel_s = node->bound_inher_rel();
-    if (!rel_s.valid()) break;
-    CADDB_ASSIGN_OR_RETURN(const DbObject* rel, store_->Get(rel_s));
-    CADDB_ASSIGN_OR_RETURN(node, store_->Get(rel->Participant("transmitter")));
-    CADDB_ASSIGN_OR_RETURN(
-        node_schema,
-        store_->catalog().FindEffectiveSchema(node->type_name()));
-  }
-
-  if (cache_mode_ != CacheMode::kOff) {
-    FillChain(&subclass_cache_, name, chain, terminal_is_local, resolved);
-  }
-  return resolved;
+  CADDB_ASSIGN_OR_RETURN(const DbObject* terminal,
+                         TerminalOf(obj, schema, name));
+  const std::vector<Surrogate>* members =
+      terminal == nullptr ? nullptr : terminal->Subclass(name);
+  return members == nullptr ? std::vector<Surrogate>{} : *members;
 }
 
 void InheritanceManager::NotifyChange(Surrogate transmitter,
@@ -345,106 +212,6 @@ Result<std::map<std::string, Value>> InheritanceManager::Snapshot(
     out = obj->attributes();
   }
   return out;
-}
-
-Result<Value> InheritanceManager::ResolveAttributeUncached(
-    Surrogate s, const std::string& name) const {
-  CADDB_ASSIGN_OR_RETURN(const DbObject* node, store_->Get(s));
-  CADDB_ASSIGN_OR_RETURN(
-      const EffectiveSchema* node_schema,
-      store_->catalog().FindEffectiveSchema(node->type_name()));
-  if (node_schema->FindAttribute(name) == nullptr) {
-    return NotFound("type '" + node->type_name() + "' has no attribute '" +
-                    name + "'");
-  }
-  while (node_schema->IsInherited(name)) {
-    Surrogate rel_s = node->bound_inher_rel();
-    if (!rel_s.valid()) return Value::Null();  // unbound: structure only
-    CADDB_ASSIGN_OR_RETURN(const DbObject* rel, store_->Get(rel_s));
-    CADDB_ASSIGN_OR_RETURN(node, store_->Get(rel->Participant("transmitter")));
-    CADDB_ASSIGN_OR_RETURN(
-        node_schema,
-        store_->catalog().FindEffectiveSchema(node->type_name()));
-  }
-  return node->LocalAttribute(name);
-}
-
-Result<std::vector<Surrogate>> InheritanceManager::ResolveSubclassUncached(
-    Surrogate s, const std::string& name) const {
-  CADDB_ASSIGN_OR_RETURN(const DbObject* node, store_->Get(s));
-  CADDB_ASSIGN_OR_RETURN(
-      const EffectiveSchema* node_schema,
-      store_->catalog().FindEffectiveSchema(node->type_name()));
-  if (node_schema->FindSubclass(name) == nullptr) {
-    return NotFound("type '" + node->type_name() + "' has no subclass '" +
-                    name + "'");
-  }
-  while (node_schema->IsInherited(name)) {
-    Surrogate rel_s = node->bound_inher_rel();
-    if (!rel_s.valid()) return std::vector<Surrogate>{};
-    CADDB_ASSIGN_OR_RETURN(const DbObject* rel, store_->Get(rel_s));
-    CADDB_ASSIGN_OR_RETURN(node, store_->Get(rel->Participant("transmitter")));
-    CADDB_ASSIGN_OR_RETURN(
-        node_schema,
-        store_->catalog().FindEffectiveSchema(node->type_name()));
-  }
-  const std::vector<Surrogate>* members = node->Subclass(name);
-  return members == nullptr ? std::vector<Surrogate>{} : *members;
-}
-
-std::vector<std::string> InheritanceManager::AuditCache() const {
-  std::vector<std::string> out;
-  auto describe = [](const CacheKey& key) {
-    return "(@" + std::to_string(key.first) + ", '" + key.second + "')";
-  };
-  for (const auto& [key, entry] : attr_cache_) {
-    if (!EntryValid(entry)) continue;  // legal staleness, evicted on probe
-    Result<Value> fresh =
-        ResolveAttributeUncached(Surrogate(key.first), key.second);
-    if (!fresh.ok()) {
-      out.push_back("attribute cache entry " + describe(key) +
-                    " validates but cannot be re-resolved: " +
-                    fresh.status().ToString());
-    } else if (*fresh != entry.payload) {
-      out.push_back("attribute cache entry " + describe(key) + " holds " +
-                    entry.payload.ToString() +
-                    " but a fresh resolution yields " + fresh->ToString());
-    }
-  }
-  for (const auto& [key, entry] : subclass_cache_) {
-    if (!EntryValid(entry)) continue;
-    Result<std::vector<Surrogate>> fresh =
-        ResolveSubclassUncached(Surrogate(key.first), key.second);
-    if (!fresh.ok()) {
-      out.push_back("subclass cache entry " + describe(key) +
-                    " validates but cannot be re-resolved: " +
-                    fresh.status().ToString());
-    } else if (*fresh != entry.payload) {
-      out.push_back("subclass cache entry " + describe(key) + " holds " +
-                    std::to_string(entry.payload.size()) +
-                    " member(s) but a fresh resolution yields " +
-                    std::to_string(fresh->size()));
-    }
-  }
-  return out;
-}
-
-void InheritanceManager::SetCacheMode(CacheMode mode) {
-  if (mode == cache_mode_) return;
-  cache_mode_ = mode;
-  attr_cache_.clear();
-  subclass_cache_.clear();
-}
-
-void InheritanceManager::EnableCache(bool on) {
-  if (on == cache_enabled()) return;
-  SetCacheMode(on ? CacheMode::kFineGrained : CacheMode::kOff);
-}
-
-void InheritanceManager::ResetCacheStats() {
-  cache_hits_ = 0;
-  cache_misses_ = 0;
-  cache_invalidations_ = 0;
 }
 
 }  // namespace caddb

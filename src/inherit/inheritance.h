@@ -3,7 +3,6 @@
 
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "inherit/notification.h"
@@ -13,22 +12,6 @@
 #include "values/value.h"
 
 namespace caddb {
-
-/// Invalidation strategy of the inheritance-resolution cache.
-enum class CacheMode {
-  /// No memoization; every inherited read walks the transmitter chain.
-  kOff,
-  /// Legacy ablation baseline: entries are stamped with the store's global
-  /// version, so *any* write to *any* object invalidates the whole cache.
-  /// Kept only for benchmarking against the fine-grained scheme.
-  kGlobalStamp,
-  /// Entries record the full transmitter-chain dependency set as
-  /// (surrogate, per-object version) pairs and stay valid until one of
-  /// *those* objects mutates (or the catalog's schema epoch changes).
-  kFineGrained,
-};
-
-const char* CacheModeName(CacheMode mode);
 
 /// The value-inheritance engine — the paper's central mechanism (section 4).
 ///
@@ -40,13 +23,8 @@ const char* CacheModeName(CacheMode mode);
 /// records to every affected inheritance relationship, transitively, for the
 /// adaptation workflow.
 ///
-/// An optional memoization cache accelerates repeated inherited reads. In
-/// its default fine-grained mode every entry records the chain of objects
-/// the resolved value depends on, each with the per-object version observed
-/// while resolving; a probe revalidates only those versions, so writes to
-/// unrelated objects never evict anything. Attribute and subclass
-/// resolutions are cached for every node of the walked chain (a leaf read
-/// warms the cache for the whole hierarchy above it).
+/// There is exactly one read path: every inherited read walks the chain.
+/// No resolved value is memoized, so there is nothing to invalidate.
 class InheritanceManager {
  public:
   /// Neither pointer is owned; both must outlive the manager.
@@ -98,100 +76,27 @@ class InheritanceManager {
   /// Used by the copy-import baseline and workspace checkout.
   Result<std::map<std::string, Value>> Snapshot(Surrogate s) const;
 
-  // ---- Resolution cache (off by default) ----
-  /// Switches the invalidation strategy. Changing the mode drops all
-  /// entries (their validity metadata is mode-specific) but keeps the
-  /// counters; setting the current mode again is a no-op.
-  void SetCacheMode(CacheMode mode);
-  CacheMode cache_mode() const { return cache_mode_; }
-  /// Convenience toggle: on = kFineGrained, off = kOff. Idempotent —
-  /// enabling an already-enabled cache keeps entries and counters.
-  void EnableCache(bool on);
-  bool cache_enabled() const { return cache_mode_ != CacheMode::kOff; }
-  /// Zeroes hit/miss/invalidation counters without touching the entries.
-  void ResetCacheStats();
-  uint64_t cache_hits() const { return cache_hits_; }
-  uint64_t cache_misses() const { return cache_misses_; }
-  /// Probes that found an entry whose dependency set (or global stamp) was
-  /// out of date; the entry is evicted and the probe also counts as a miss.
-  uint64_t cache_invalidations() const { return cache_invalidations_; }
-  size_t cache_entries() const {
-    return attr_cache_.size() + subclass_cache_.size();
-  }
-
-  /// Consistency audit for the static analyzer (CAD107): re-resolves every
-  /// cache entry whose validity metadata still checks out *without* the
-  /// cache and reports entries whose payload disagrees with the fresh
-  /// resolution — i.e. dependency tracking failed to notice a change.
-  /// Entries whose metadata is already stale are skipped (staleness is the
-  /// normal eviction path, not corruption). Read-only; never repairs.
-  std::vector<std::string> AuditCache() const;
-
   NotificationCenter* notifications() const { return notifications_; }
   ObjectStore* store() const { return store_; }
 
  private:
-  /// One memoized resolution. `deps` lists every object of the transmitter
-  /// chain the payload was derived from, leaf-entry first, paired with the
-  /// per-object version observed during resolution (kFineGrained validity);
-  /// `stamp` is the store's global version at fill time (kGlobalStamp
-  /// validity); `schema_epoch` guards against DDL registrations changing
-  /// permeability after the fill (both modes).
-  template <typename T>
-  struct CacheEntry {
-    uint64_t stamp = 0;
-    uint64_t schema_epoch = 0;
-    std::vector<std::pair<uint64_t, uint64_t>> deps;
-    T payload;
-  };
-  using CacheKey = std::pair<uint64_t, std::string>;  // (surrogate, item)
-
-  template <typename T>
-  bool EntryValid(const CacheEntry<T>& entry) const;
-  /// Cache probe with hit/miss/invalidation accounting; returns the payload
-  /// or null. Stale entries are evicted on probe.
-  template <typename T>
-  const T* Probe(std::map<CacheKey, CacheEntry<T>>* cache,
-                 const CacheKey& key) const;
-  /// Inserts one entry per chain node (except a terminal node that resolved
-  /// `item` locally — local reads never consult the cache), so one deep read
-  /// warms every level above it. chain[i]'s dependency set is the chain
-  /// suffix starting at i.
-  template <typename T>
-  void FillChain(std::map<CacheKey, CacheEntry<T>>* cache,
-                 const std::string& item,
-                 const std::vector<const DbObject*>& chain,
-                 bool terminal_is_local, const T& payload) const;
+  /// Follows the transmitter chain from `obj` (whose effective schema is
+  /// `schema`) to the first node holding `item` as its own local data:
+  /// `obj` itself when `item` is not inherited there. Null when the chain
+  /// ends at an unbound inheritor, which sees only the structure of `item`.
+  Result<const DbObject*> TerminalOf(const DbObject* obj,
+                                     const EffectiveSchema* schema,
+                                     const std::string& item) const;
 
   /// Recursively notifies the inheritance relationships hanging off
   /// `transmitter` about a change of permeable item `item`.
   void NotifyChange(Surrogate transmitter, const std::string& item);
 
-  /// Chain-walk resolutions that bypass the cache entirely (no probe, no
-  /// fill, no counters). AuditCache compares cached payloads against these.
-  Result<Value> ResolveAttributeUncached(Surrogate s,
-                                         const std::string& name) const;
-  Result<std::vector<Surrogate>> ResolveSubclassUncached(
-      Surrogate s, const std::string& name) const;
-
   ObjectStore* store_;
   NotificationCenter* notifications_;
 
-  CacheMode cache_mode_ = CacheMode::kOff;
-  mutable std::map<CacheKey, CacheEntry<Value>> attr_cache_;
-  mutable std::map<CacheKey, CacheEntry<std::vector<Surrogate>>>
-      subclass_cache_;
-  mutable uint64_t cache_hits_ = 0;
-  mutable uint64_t cache_misses_ = 0;
-  mutable uint64_t cache_invalidations_ = 0;
-
-  /// Registry mirrors of the per-instance counters above (the members stay
-  /// authoritative for ResetCacheStats / per-database queries; the registry
-  /// view is monotone across resets), plus the trace-gated resolve timing.
+  /// Resolution counter and the trace-gated resolve timing.
   obs::Observability* obs_;
-  obs::Counter* m_cache_hits_;
-  obs::Counter* m_cache_misses_;
-  obs::Counter* m_cache_invalidations_;
   obs::Counter* m_resolutions_;
   obs::Histogram* m_resolve_us_;
 };

@@ -21,8 +21,8 @@ class Counter {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  /// Tests and `cache reset-stats`-style tooling only; production counters
-  /// are monotone.
+  /// Tests only (through MetricsRegistry::Reset); production counters are
+  /// monotone.
   void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:

@@ -122,7 +122,6 @@ bool Dispatcher::IsMutatingCommand(const std::vector<std::string>& tokens) {
   // Arming/disarming failpoints changes process behavior; listing reads.
   if (cmd == "fault") return tokens.size() > 1 && tokens[1] != "list";
   // Mode changes are mutations; bare status forms are reads.
-  if (cmd == "cache") return tokens.size() > 1;
   if (cmd == "trace") return tokens.size() > 1 && tokens[1] != "dump";
   // `log level` changes process behavior; `log tail` / bare status read.
   if (cmd == "log") return tokens.size() > 1 && tokens[1] == "level";
@@ -959,30 +958,6 @@ bool Dispatcher::ExecuteLine(const std::string& line, std::ostream& out) {
     fail(InvalidArgument(
         "use: log [tail [n] [--format=json]|level <debug|info|warn|error|"
         "off>]"));
-    return true;
-  }
-  if (cmd == "cache") {
-    InheritanceManager& inherit = db_->inheritance();
-    if (tokens.size() == 1) {
-      out << CacheModeName(inherit.cache_mode()) << ": "
-          << inherit.cache_entries() << " entries; " << inherit.cache_hits()
-          << " hits, " << inherit.cache_misses() << " misses, "
-          << inherit.cache_invalidations() << " invalidations\n";
-    } else if (tokens[1] == "off") {
-      inherit.SetCacheMode(CacheMode::kOff);
-      out << "ok\n";
-    } else if (tokens[1] == "global") {
-      inherit.SetCacheMode(CacheMode::kGlobalStamp);
-      out << "ok\n";
-    } else if (tokens[1] == "fine" || tokens[1] == "on") {
-      inherit.SetCacheMode(CacheMode::kFineGrained);
-      out << "ok\n";
-    } else if (tokens[1] == "reset-stats") {
-      inherit.ResetCacheStats();
-      out << "ok\n";
-    } else {
-      fail(InvalidArgument("use: cache [off|global|fine|on|reset-stats]"));
-    }
     return true;
   }
   if (cmd == "dump" || cmd == "load") {

@@ -48,7 +48,7 @@ class Dispatcher {
   void AttachServer(net::Server* server);
 
   /// Read-only role: mutating verbs (schema/DDL, object writes, load/dump,
-  /// checkpoint, ship, replica poll/promote/reseed, cache/trace mode
+  /// checkpoint, ship, replica poll/promote/reseed, trace mode
   /// changes, check --repair) fail with kPermissionDenied. Reads, checks
   /// and status/metrics commands pass. This is how a network server serves
   /// a writable primary to read-only sessions and how follower-serving

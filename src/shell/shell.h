@@ -54,7 +54,7 @@ namespace shell {
 ///   pending @<id>         change log of an inheritor's binding
 ///   ack @<id>             acknowledge it
 ///   select <class-or-type> [<path>...] [where <expr...>]
-///   stats [--format=json]  population/cache report; json adds the full
+///   stats [--format=json]  population report; json adds the full
 ///       metrics snapshot
 ///   metrics [--format=json|prom]   every registered counter/gauge/histogram
 ///       (prom is Prometheus text exposition 0.0.4)
@@ -78,7 +78,6 @@ namespace shell {
 ///   log                   event-log status (level, counts, sink state)
 ///   log tail [n] [--format=json]   newest n structured events (default 20)
 ///   log level <debug|info|warn|error|off>   runtime level change
-///   cache [off|global|fine|on|reset-stats]   resolution-cache mode & stats
 ///   dump <path> | load <path>
 ///   wal status [--format=json]   log/recovery telemetry (durable only)
 ///   checkpoint            snapshot + truncate the log (durable only)

@@ -88,8 +88,9 @@ class DbObject {
   Surrogate bound_inher_rel() const { return bound_inher_rel_; }
   void set_bound_inher_rel(Surrogate s) { bound_inher_rel_ = s; }
 
-  /// Local-update counter; bumped by the store on every mutation. Used for
-  /// inherited-value cache invalidation and for checkin conflict detection.
+  /// Local-update counter; bumped by the store on every mutation. Persisted
+  /// with the object; workspace check-in and the copy-import baseline
+  /// compare it to detect changes.
   uint64_t version() const { return version_; }
   void BumpVersion() { ++version_; }
   /// Restores a persisted counter; only the page codec may call this.

@@ -40,7 +40,7 @@ bool ObjectStore::FaultIn(uint64_t id) const {
     return false;
   }
   objects_[id] = std::move(loaded).value();
-  paged_out_versions_.erase(id);
+  --paged_out_;
   return true;
 }
 
@@ -52,7 +52,6 @@ void ObjectStore::EnsureAllResident() const {
 
 void ObjectStore::Touch(DbObject* obj) {
   obj->BumpVersion();
-  ++global_version_;
   MarkDirty(obj->surrogate().id);
 }
 
@@ -100,7 +99,6 @@ Result<Surrogate> ObjectStore::NewObjectInternal(const std::string& type_name,
   Surrogate s(next_surrogate_++);
   objects_[s.id] = std::make_unique<DbObject>(s, type_name, kind);
   extents_[type_name].push_back(s);
-  ++global_version_;
   MarkDirty(s.id);
   return s;
 }
@@ -760,7 +758,6 @@ void ObjectStore::RepairIndexes() {
       }
     }
   }
-  ++global_version_;
 }
 
 Status ObjectStore::Delete(Surrogate s, DeletePolicy policy) {
@@ -842,13 +839,15 @@ Status ObjectStore::Delete(Surrogate s, DeletePolicy policy) {
   }
 
   for (uint64_t id : doomed) {
-    objects_.erase(id);
-    paged_out_versions_.erase(id);
+    auto slot = objects_.find(id);
+    if (slot != objects_.end()) {
+      if (!slot->second) --paged_out_;
+      objects_.erase(slot);
+    }
     hot_.erase(id);
     dirty_.erase(id);
     if (track_dirty_) deleted_.insert(id);
   }
-  ++global_version_;
   return OkStatus();
 }
 
@@ -909,8 +908,8 @@ size_t ObjectStore::TrimResident(size_t budget) {
       continue;
     }
     if (!pager_->Contains(id)) continue;
-    paged_out_versions_[id] = slot->version();
     slot.reset();
+    ++paged_out_;
     ++evicted;
   }
   return evicted;

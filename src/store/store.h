@@ -141,9 +141,7 @@ class ObjectStore {
   /// Evicts clean, cold, pager-backed objects until at most `budget` remain
   /// resident (second-chance sweep). Returns how many were paged out.
   size_t TrimResident(size_t budget);
-  size_t resident_objects() const {
-    return objects_.size() - paged_out_versions_.size();
-  }
+  size_t resident_objects() const { return objects_.size() - paged_out_; }
   size_t dirty_objects() const { return dirty_.size(); }
   size_t deleted_since_checkpoint() const { return deleted_.size(); }
   /// Last demand-paging failure, for diagnostics: a fault-in that fails
@@ -186,25 +184,6 @@ class ObjectStore {
   /// findings.
   void RepairIndexes();
 
-  /// Monotone counter bumped on every mutation; used as a cheap
-  /// whole-store invalidation stamp by resolution caches.
-  uint64_t global_version() const { return global_version_; }
-
-  /// Sentinel returned by ObjectVersion for objects that are not live.
-  static constexpr uint64_t kDeadVersion = ~uint64_t{0};
-  /// Per-object mutation counter of `s` — bumped on every attribute,
-  /// subclass/subrel and binding mutation of that object — or kDeadVersion
-  /// when `s` is not live. Surrogates are never reused, so a
-  /// (surrogate, version) pair identifies one observed object state; the
-  /// inheritance manager's fine-grained resolution cache validates entries
-  /// against these pairs.
-  uint64_t ObjectVersion(Surrogate s) const {
-    auto it = objects_.find(s.id);
-    if (it == objects_.end()) return kDeadVersion;
-    if (!it->second) return paged_out_versions_.at(s.id);
-    return it->second->version();
-  }
-
  private:
   struct ClassInfo {
     std::string object_type;
@@ -237,22 +216,19 @@ class ObjectStore {
 
   const Catalog* catalog_;
   /// Primary map. A null unique_ptr is a paged-out object: live (surrogate
-  /// reserved, indexed, versioned via paged_out_versions_) but resident
-  /// only on its page until a lookup faults it in. Mutable because const
-  /// lookups fault in.
+  /// reserved, indexed) but resident only on its page until a lookup faults
+  /// it in. Mutable because const lookups fault in.
   mutable std::map<uint64_t, std::unique_ptr<DbObject>> objects_;
   std::map<std::string, ClassInfo> classes_;
   std::map<std::string, std::vector<Surrogate>> extents_;
   std::map<uint64_t, std::set<uint64_t>> where_used_;  // target -> rel objects
   uint64_t next_surrogate_ = 1;
-  uint64_t global_version_ = 0;
 
   // ---- Paging state ----
   const ObjectPager* pager_ = nullptr;
   bool track_dirty_ = false;
-  /// Version counters of paged-out objects (exactly the null slots above),
-  /// so ObjectVersion answers without a fault-in.
-  mutable std::map<uint64_t, uint64_t> paged_out_versions_;
+  /// Number of null (paged-out) slots in objects_.
+  mutable size_t paged_out_ = 0;
   /// Recently-looked-up ids: one sweep of second chance against trimming.
   mutable std::set<uint64_t> hot_;
   std::set<uint64_t> dirty_;    // mutated since the last checkpoint capture

@@ -123,16 +123,6 @@ Status FailpointFile::Sync() {
 
 Status FailpointFile::Close() { return base_->Close(); }
 
-FileFactory FailpointFactory(uint64_t fail_after) {
-  return [fail_after](const std::string& path)
-             -> Result<std::unique_ptr<WritableFile>> {
-    CADDB_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> base,
-                           OpenWritableFile(path));
-    return std::unique_ptr<WritableFile>(
-        new FailpointFile(std::move(base), fail_after));
-  };
-}
-
 std::string EncodeFrame(uint64_t lsn, const std::string& payload) {
   std::string lsn_bytes;
   PutU64(&lsn_bytes, lsn);
@@ -227,13 +217,14 @@ Result<std::string> ReadFileToString(const std::string& path) {
   return out;
 }
 
-Status AtomicWriteFile(const std::string& path, const std::string& data,
-                       const FileFactory& factory) {
+Status AtomicWriteFile(
+    const std::string& path, const std::string& data,
+    const std::function<Result<std::unique_ptr<WritableFile>>(
+        const std::string&)>& open) {
   const std::string tmp = path + ".tmp";
   Status written = [&]() -> Status {
-    CADDB_ASSIGN_OR_RETURN(
-        std::unique_ptr<WritableFile> file,
-        factory ? factory(tmp) : OpenWritableFile(tmp));
+    CADDB_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
+                           open ? open(tmp) : OpenWritableFile(tmp));
     CADDB_RETURN_IF_ERROR(file->Append(data));
     CADDB_RETURN_IF_ERROR(file->Sync());
     CADDB_RETURN_IF_ERROR(file->Close());

@@ -43,10 +43,6 @@ class WritableFile {
 Result<std::unique_ptr<WritableFile>> OpenWritableFile(
     const std::string& path);
 
-/// Hook for tests and fault injection: how the Wal opens segment files.
-using FileFactory =
-    std::function<Result<std::unique_ptr<WritableFile>>(const std::string&)>;
-
 /// Fault-injection wrapper simulating a crash at an arbitrary byte offset:
 /// bytes up to `fail_after` reach the underlying file, everything beyond is
 /// silently dropped — including partial suffixes of a single Append (a torn
@@ -70,9 +66,6 @@ class FailpointFile : public WritableFile {
   uint64_t budget_;
   bool triggered_ = false;
 };
-
-/// Convenience factory: open a real file and cut it at `fail_after` bytes.
-FileFactory FailpointFactory(uint64_t fail_after);
 
 // ---- Frame encoding / decoding ----
 
@@ -116,10 +109,12 @@ Result<std::string> ReadFileToString(const std::string& path);
 /// Durably writes `data` to `path`: temp file in the same directory, write,
 /// fsync, rename over `path`, fsync the directory. The atomic-publish
 /// primitive behind checkpoints. On any failure the temp file is unlinked,
-/// never leaked; `factory` overrides how the temp file is opened (fault
+/// never leaked; `open` overrides how the temp file is opened (fault
 /// injection in tests).
-Status AtomicWriteFile(const std::string& path, const std::string& data,
-                       const FileFactory& factory = nullptr);
+Status AtomicWriteFile(
+    const std::string& path, const std::string& data,
+    const std::function<Result<std::unique_ptr<WritableFile>>(
+        const std::string&)>& open = nullptr);
 
 /// Removes stale "*.tmp" leftovers in `dir` — debris of AtomicWriteFile
 /// calls cut down by a crash between create and rename. Run by Database

@@ -38,7 +38,8 @@ struct DurabilityOptions {
   size_t buffer_pool_pages = 256;
   /// When non-zero, after each auto-committed mutation the store trims
   /// clean resident objects down to this budget (demand paging brings them
-  /// back on access). 0 = keep everything resident.
+  /// back on access). 0 = keep everything resident. Recovery runs without
+  /// it; the first mutation after open trims.
   size_t resident_object_budget = 0;
   /// Fault injection for the page file (see storage::FileManagerOptions):
   /// the Nth page write tears/drops, or fails cleanly. Defaults off.

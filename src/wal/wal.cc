@@ -140,13 +140,11 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& dir,
 Status Wal::OpenSegmentLocked(uint64_t start_lsn) {
   const std::string path =
       (fs::path(dir_) / SegmentFileName(start_lsn)).string();
-  Result<std::unique_ptr<WritableFile>> file =
-      options_.file_factory ? options_.file_factory(path)
-                            : OpenWritableFile(path);
+  Result<std::unique_ptr<WritableFile>> file = OpenWritableFile(path);
   if (!file.ok()) return file.status();
-  // Registry-armed byte cut (`fault arm wal.file.cut cut=N`): the unified
-  // form of the FailpointFactory crash matrix — the new segment silently
-  // loses every byte past the budget and its fsyncs lie.
+  // Registry-armed byte cut (`fault arm wal.file.cut cut=N`), the crash
+  // matrix's simulated power cut: the new segment silently loses every byte
+  // past the budget and its fsyncs lie.
   fault::FiredAction cut;
   if (fault::Hit(fault::sites::kWalFileCut, &cut) &&
       cut.kind == fault::ActionKind::kCut) {

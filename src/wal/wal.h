@@ -58,9 +58,6 @@ struct WalOptions {
   size_t batch_commits = 32;
   /// ...or once the oldest unsynced commit is this old.
   uint64_t batch_interval_us = 1000;
-  /// How segment files are opened — tests swap in FailpointFactory to
-  /// simulate crashes at arbitrary byte offsets. Null means real files.
-  FileFactory file_factory;
   /// Rotate to a fresh segment once the live one reaches this many bytes
   /// (0 = segments only rotate at checkpoints). Size-closed segments stay
   /// on disk until the next checkpoint truncates them; recovery replays

@@ -340,7 +340,7 @@ class CorruptedStoreTest : public ::testing::Test {
     rel_ = db_.Bind(impl_, iface_, "AllOf_GateInterface").value();
   }
 
-  DiagnosticBag Fsck() { return AnalyzeStore(db_.store(), &db_.inheritance()); }
+  DiagnosticBag Fsck() { return AnalyzeStore(db_.store()); }
 
   Database db_;
   Surrogate gate_, pin1_, pin2_, wire_, iface_, impl_, rel_;
@@ -386,20 +386,6 @@ TEST_F(CorruptedStoreTest, IndexInconsistencyDetected) {
   db_.store().GetMutable(iface_)->set_class_name("NoSuchClass");
   DiagnosticBag bag = Fsck();
   EXPECT_TRUE(bag.Has("CAD106")) << bag.RenderText();
-}
-
-TEST_F(CorruptedStoreTest, StaleCacheEntryDetected) {
-  db_.inheritance().SetCacheMode(CacheMode::kFineGrained);
-  // Warm the cache through the inheritance chain.
-  ASSERT_TRUE(db_.Get(impl_, "Length").ok());
-  // Mutate the transmitter *behind the store's back*: DbObject mutators do
-  // not bump the per-object version, so the entry's dependency metadata
-  // still validates while the payload is wrong.
-  db_.store().GetMutable(iface_)->SetLocalAttribute("Length", Value::Int(7));
-  DiagnosticBag bag = Fsck();
-  const Diagnostic* d = FindCode(bag, "CAD107");
-  ASSERT_NE(d, nullptr) << bag.RenderText();
-  EXPECT_NE(d->message.find("Length"), std::string::npos) << d->message;
 }
 
 // ---------------------------------------------------------------------------
@@ -530,7 +516,7 @@ TEST(CodeRegistryTest, EveryEmittedCodeFamilyIsRegistered) {
       "CAD001", "CAD002", "CAD003", "CAD004", "CAD005", "CAD006", "CAD007",
       "CAD008", "CAD009", "CAD010", "CAD011", "CAD012", "CAD013", "CAD014",
       // store fsck
-      "CAD101", "CAD102", "CAD103", "CAD104", "CAD105", "CAD106", "CAD107",
+      "CAD101", "CAD102", "CAD103", "CAD104", "CAD105", "CAD106",
       // replication divergence
       "CAD201", "CAD202", "CAD203", "CAD204", "CAD205",
       // offline disk verification

@@ -22,6 +22,7 @@
 
 #include "analysis/diagnostics.h"
 #include "core/database.h"
+#include "fault/failpoint.h"
 #include "replication/manifest.h"
 #include "shell/shell.h"
 #include "storage/heap_record.h"
@@ -327,10 +328,14 @@ TEST(DiskVerifierTest, TornWalTailVerifiesWithZeroErrorsAndPlansRepair) {
   // Cut the live segment mid-frame with the same failpoint the crash
   // matrix uses, exactly a SIGKILL mid-append.
   const std::string dir = TestDir("wal_crash");
+  fault::FailpointRegistry& failpoints = fault::FailpointRegistry::Global();
   {
-    wal::DurabilityOptions options;
-    options.wal.file_factory = wal::FailpointFactory(600);
-    auto db = Database::Open(dir, options);
+    // Skip the segment Open's own checkpoint rotates away; cut the live one.
+    Status armed = failpoints.ArmFromString(
+        std::string(fault::sites::kWalFileCut) + " cut=600 --skip=1 --times=1");
+    ASSERT_TRUE(armed.ok()) << armed.ToString();
+    auto db = Database::Open(dir);
+    failpoints.DisarmAll();
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     ASSERT_TRUE((*db)->ExecuteDdl(kSchema).ok());
     for (int i = 0; i < 20; ++i) {

@@ -147,8 +147,6 @@ TEST(NetServerTest, EveryShellVerbRoundTrips) {
   EXPECT_EQ(Ok(client.get(), "trace on"), "ok\n");
   Ok(client.get(), "trace dump");
   EXPECT_EQ(Ok(client.get(), "trace off"), "ok\n");
-  Ok(client.get(), "cache");
-  EXPECT_EQ(Ok(client.get(), "cache fine"), "ok\n");
   Ok(client.get(), "wal status");
   Ok(client.get(), "wal status --format=json");
   Ok(client.get(), "checkpoint");

@@ -1,5 +1,5 @@
 // Log-shipping replication: shipper/follower round trips, the shipment
-// fault-plan matrix (drop, truncate, duplicate, reorder, corrupt-one-byte,
+// fault matrix (drop, truncate, duplicate, reorder, corrupt-one-byte,
 // stall — each must heal or quarantine, never apply divergent data), the
 // CAD201-205 divergence quarantines, retry/backoff behavior through the
 // injectable I/O hooks, and promotion.
@@ -7,14 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/database.h"
 #include "core/paper_schemas.h"
+#include "fault/failpoint.h"
 #include "persist/dump.h"
-#include "replication/fault.h"
 #include "replication/follower.h"
 #include "replication/manifest.h"
 #include "replication/shipper.h"
@@ -236,26 +237,53 @@ TEST(ReplicationTest, PrimaryRestartAdvancesGenerationAndSeqKeepsAscending) {
 
 // ---- The shipment fault matrix ----
 //
-// For every FaultKind, attempt 2 of 4 is hit by the fault while the primary
-// keeps working between shipments. Acceptance: the follower either catches
-// up (after the fault, polls may report kUnavailable while the transfer is
-// broken) or quarantines — it never serves state that diverges from the
-// primary's history, and after the final clean shipment it must converge
-// exactly.
-class FaultMatrixTest : public ::testing::TestWithParam<FaultKind> {};
+// Shipment faults come from the process-global `replication.ship`
+// failpoint, armed as "<kind> [--skip=N] --times=1" so exactly one attempt
+// is hit; every test arming it disarms the registry when it ends.
+
+/// Arms `replication.ship` with `spec` (e.g. "drop --skip=1 --times=1").
+void ArmShipFault(const std::string& spec) {
+  Status armed = fault::FailpointRegistry::Global().ArmFromString(
+      std::string(fault::sites::kReplicationShip) + " " + spec);
+  ASSERT_TRUE(armed.ok()) << armed.ToString();
+}
+
+/// Disarms every failpoint on construction and destruction.
+struct FaultGuard {
+  FaultGuard() { fault::FailpointRegistry::Global().DisarmAll(); }
+  ~FaultGuard() { fault::FailpointRegistry::Global().DisarmAll(); }
+};
+
+/// The matrix row name: the action kind, or "none" for the clean row.
+std::string ShipFaultName(fault::ActionKind kind) {
+  return kind == fault::ActionKind::kOff ? "none"
+                                         : fault::ActionKindName(kind);
+}
+
+// For every shipment fault kind, attempt 2 of 4 is hit by the fault while
+// the primary keeps working between shipments. Acceptance: the follower
+// either catches up (after the fault, polls may report kUnavailable while
+// the transfer is broken) or quarantines — it never serves state that
+// diverges from the primary's history, and after the final clean shipment
+// it must converge exactly.
+class FaultMatrixTest : public ::testing::TestWithParam<fault::ActionKind> {
+ protected:
+  void TearDown() override { fault::FailpointRegistry::Global().DisarmAll(); }
+};
 
 TEST_P(FaultMatrixTest, FollowerHealsOrQuarantinesNeverDiverges) {
-  const FaultKind fault = GetParam();
-  const std::string name = FaultKindName(fault);
+  const fault::ActionKind kind = GetParam();
+  const std::string name = ShipFaultName(kind);
   const std::string primary_dir = TestDir(std::string("fault_") + name);
   const std::string replica_dir =
       TestDir(std::string("fault_") + name + "_replica");
 
-  ShipperOptions ship_options;
-  ship_options.faults.by_attempt[2] = fault;
+  if (kind != fault::ActionKind::kOff) {
+    ArmShipFault(name + " --skip=1 --times=1");  // hits attempt 2
+  }
   auto primary = Database::Open(primary_dir);
   ASSERT_TRUE(primary.ok());
-  Shipper shipper((*primary).get(), replica_dir, ship_options);
+  Shipper shipper((*primary).get(), replica_dir);
   Follower follower(replica_dir, FastFollowerOptions());
 
   std::vector<std::string> oracles;  // primary state at each ship
@@ -263,7 +291,7 @@ TEST_P(FaultMatrixTest, FollowerHealsOrQuarantinesNeverDiverges) {
     ASSERT_TRUE(ApplyStage((*primary).get(), stage).ok());
     auto shipped = shipper.ShipNow();
     ASSERT_TRUE(shipped.ok()) << shipped.status().ToString();
-    EXPECT_EQ(shipped->fault, stage == 2 ? fault : FaultKind::kNone);
+    EXPECT_EQ(shipped->fault, stage == 2 ? kind : fault::ActionKind::kOff);
     oracles.push_back(CanonicalDump(**primary));
 
     auto poll = follower.Poll();
@@ -309,29 +337,33 @@ TEST_P(FaultMatrixTest, FollowerHealsOrQuarantinesNeverDiverges) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllFaults, FaultMatrixTest,
-    ::testing::Values(FaultKind::kNone, FaultKind::kDrop, FaultKind::kTruncate,
-                      FaultKind::kDuplicate, FaultKind::kReorder,
-                      FaultKind::kCorrupt, FaultKind::kStall),
-    [](const ::testing::TestParamInfo<FaultKind>& info) {
-      return std::string(FaultKindName(info.param));
+    ::testing::Values(fault::ActionKind::kOff, fault::ActionKind::kDrop,
+                      fault::ActionKind::kTruncate,
+                      fault::ActionKind::kDuplicate,
+                      fault::ActionKind::kReorder, fault::ActionKind::kCorrupt,
+                      fault::ActionKind::kStall),
+    [](const ::testing::TestParamInfo<fault::ActionKind>& info) {
+      return ShipFaultName(info.param);
     });
 
-TEST(ReplicationTest, GeneratorWorkloadUnderScriptedFaultPlanConverges) {
+TEST(ReplicationTest, GeneratorWorkloadUnderScriptedShipFaultsConverges) {
   // The tentpole drill: a workload::Generator-driven primary shipping
-  // through a scripted multi-fault plan ("2:truncate,4:corrupt,5:drop").
-  // At every cut point the follower serves some ship-time oracle or
-  // reports kUnavailable; after the plan runs dry it converges exactly.
+  // through a scripted multi-fault plan (round 2 truncate, 4 corrupt,
+  // 5 drop), re-arming the failpoint for each faulted round. At every cut
+  // point the follower serves some ship-time oracle or reports
+  // kUnavailable; after the plan runs dry it converges exactly.
+  FaultGuard guard;
+  const std::map<int, fault::ActionKind> plan = {
+      {2, fault::ActionKind::kTruncate},
+      {4, fault::ActionKind::kCorrupt},
+      {5, fault::ActionKind::kDrop}};
   const std::string primary_dir = TestDir("generator_primary");
   const std::string replica_dir = TestDir("generator_replica");
-  ShipperOptions ship_options;
-  Result<FaultPlan> plan = ParseFaultPlan("2:truncate,4:corrupt,5:drop");
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  ship_options.faults = *plan;
   auto primary = Database::Open(primary_dir);
   ASSERT_TRUE(primary.ok());
   ASSERT_TRUE((*primary)->ExecuteDdl(schemas::kGatesBase).ok());
   ASSERT_TRUE((*primary)->ExecuteDdl(schemas::kGatesInterfaces).ok());
-  Shipper shipper((*primary).get(), replica_dir, ship_options);
+  Shipper shipper((*primary).get(), replica_dir);
   Follower follower(replica_dir, FastFollowerOptions());
 
   std::vector<std::string> oracles;
@@ -343,9 +375,15 @@ TEST(ReplicationTest, GeneratorWorkloadUnderScriptedFaultPlanConverges) {
     params.components_per_composite = 2;
     auto netlist = workload::GenerateNetlist((*primary).get(), params);
     ASSERT_TRUE(netlist.ok()) << netlist.status().ToString();
+    auto planned = plan.find(round);
+    const fault::ActionKind expected =
+        planned == plan.end() ? fault::ActionKind::kOff : planned->second;
+    if (planned != plan.end()) {
+      ArmShipFault(ShipFaultName(expected) + " --times=1");
+    }
     auto shipped = shipper.ShipNow();
     ASSERT_TRUE(shipped.ok()) << shipped.status().ToString();
-    EXPECT_EQ(shipped->fault, ship_options.faults.For(round));
+    EXPECT_EQ(shipped->fault, expected);
     oracles.push_back(CanonicalDump(**primary));
 
     auto poll = follower.Poll();
@@ -383,13 +421,13 @@ TEST(ReplicationTest, TruncatedTransferReportsUnavailableThenHeals) {
   // Sharper version of the matrix's kTruncate row: the poll right after the
   // torn transfer must fail kUnavailable (not quarantine, not apply), and
   // the next clean shipment must re-copy the damaged file.
+  FaultGuard guard;
   const std::string primary_dir = TestDir("truncate_primary");
   const std::string replica_dir = TestDir("truncate_replica");
-  ShipperOptions ship_options;
-  ship_options.faults.by_attempt[2] = FaultKind::kTruncate;
+  ArmShipFault("truncate --skip=1 --times=1");  // hits attempt 2
   auto primary = Database::Open(primary_dir);
   ASSERT_TRUE(primary.ok());
-  Shipper shipper((*primary).get(), replica_dir, ship_options);
+  Shipper shipper((*primary).get(), replica_dir);
   Follower follower(replica_dir, FastFollowerOptions());
 
   ASSERT_TRUE(ApplyStage((*primary).get(), 1).ok());
@@ -906,7 +944,7 @@ TEST(ReplicationPromotionTest, NeverSyncedReplicaRefusesPromotion) {
       << promoted.status().ToString();
 }
 
-// ---- Manifest and fault-plan units ----
+// ---- Manifest units ----
 
 TEST(ManifestTest, EncodeDecodeRoundTrips) {
   Manifest manifest;
@@ -1096,28 +1134,6 @@ TEST(ReplicationReseedTest, ReseedRefusesWhenNotQuarantined) {
   EXPECT_EQ(pair.follower->state(), FollowerState::kFollowing)
       << "a refused reseed must not disturb a healthy follower";
   ASSERT_TRUE(pair.primary->Close().ok());
-}
-
-TEST(FaultPlanTest, ParsesSpecsAndRejectsUnknownKinds) {
-  Result<FaultPlan> plan = ParseFaultPlan("3:drop,5:corrupt,7:stall");
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_EQ(plan->For(3), FaultKind::kDrop);
-  EXPECT_EQ(plan->For(5), FaultKind::kCorrupt);
-  EXPECT_EQ(plan->For(7), FaultKind::kStall);
-  EXPECT_EQ(plan->For(4), FaultKind::kNone);
-  EXPECT_FALSE(ParseFaultPlan("3:meteor").ok());
-  EXPECT_FALSE(ParseFaultPlan("nope").ok());
-  Result<FaultPlan> empty = ParseFaultPlan("");
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
-  for (FaultKind kind :
-       {FaultKind::kNone, FaultKind::kDrop, FaultKind::kTruncate,
-        FaultKind::kDuplicate, FaultKind::kReorder, FaultKind::kCorrupt,
-        FaultKind::kStall}) {
-    Result<FaultKind> round = FaultKindFromName(FaultKindName(kind));
-    ASSERT_TRUE(round.ok()) << FaultKindName(kind);
-    EXPECT_EQ(*round, kind);
-  }
 }
 
 }  // namespace

@@ -184,7 +184,7 @@ TEST(StatsReplicaTest, NonReplicaOmitsReplicaBlock) {
   EXPECT_EQ(stats.ToString().find("replica:"), std::string::npos);
   EXPECT_EQ(stats.ToJson().find("\"replica\":"), std::string::npos);
   // The metrics snapshot is still there — every database has a registry.
-  EXPECT_NE(stats.metrics.FindCounter("caddb_inherit_cache_hits_total"),
+  EXPECT_NE(stats.metrics.FindCounter("caddb_inherit_resolutions_total"),
             nullptr);
 }
 

@@ -171,6 +171,46 @@ TEST(StorePagedTest, WorkloadTwiceThePoolBudgetStaysBoundedAndCorrect) {
   EXPECT_EQ(CanonicalDump(**db), final_dump);
 }
 
+TEST(StorePagedTest, ResidentCountTracksEvictFaultInAndDelete) {
+  // No resident budget: trimming happens only where this test asks for it.
+  const std::string dir = TestDir("resident_count");
+  auto db = Database::Open(dir);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE((*db)->ExecuteDdl(kGateSchema).ok());
+  std::vector<Surrogate> gates;
+  for (int i = 0; i < 6; ++i) {
+    Result<Surrogate> gate = (*db)->CreateObject("Gate");
+    ASSERT_TRUE(gate.ok()) << gate.status().ToString();
+    ASSERT_TRUE((*db)->Set(*gate, "Length", Value::Int(i)).ok());
+    gates.push_back(*gate);
+  }
+  ASSERT_TRUE((*db)->Checkpoint().ok());  // every gate clean and on a page
+  ObjectStore& store = (*db)->store();
+  EXPECT_EQ(store.resident_objects(), 6u);
+
+  // Evict: every clean, paged object goes.
+  EXPECT_EQ(store.TrimResident(0), 6u);
+  EXPECT_EQ(store.resident_objects(), 0u);
+
+  // Fault in: one lookup brings exactly one object back.
+  Result<Value> length = (*db)->Get(gates[0], "Length");
+  ASSERT_TRUE(length.ok()) << length.status().ToString();
+  EXPECT_EQ(length->AsInt(), 0);
+  EXPECT_EQ(store.resident_objects(), 1u);
+
+  // Delete a paged-out object: it leaves the map without ever counting as
+  // resident afterwards.
+  ASSERT_TRUE((*db)->Delete(gates[1]).ok());
+  EXPECT_EQ(store.resident_objects(), 1u);
+  EXPECT_FALSE(store.Exists(gates[1]));
+
+  // Delete the resident one.
+  ASSERT_TRUE((*db)->Delete(gates[0]).ok());
+  EXPECT_EQ(store.resident_objects(), 0u);
+  EXPECT_EQ(store.AllObjects().size(), 4u);
+  ASSERT_TRUE((*db)->Close().ok());
+}
+
 TEST(StorePagedTest, CrashAtEveryPageFlushFailpointRecovers) {
   // Pass 1 — oracle: run uninterrupted, recording after every durability
   // point the canonical state and the cumulative page-write count. The

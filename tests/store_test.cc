@@ -305,13 +305,11 @@ TEST_F(StoreTest, ExtentTracksAllInstancesIncludingSubobjects) {
   EXPECT_TRUE(store_.Extent("Impl").empty());
 }
 
-TEST_F(StoreTest, GlobalVersionAdvancesOnMutation) {
-  uint64_t v0 = store_.global_version();
+TEST_F(StoreTest, MutationBumpsTheObjectsVersion) {
   Surrogate iface = Make("Iface");
-  uint64_t v1 = store_.global_version();
-  EXPECT_GT(v1, v0);
-  store_.SetAttribute(iface, "L", Value::Int(1)).ok();
-  EXPECT_GT(store_.global_version(), v1);
+  uint64_t v0 = store_.Get(iface).value()->version();
+  ASSERT_TRUE(store_.SetAttribute(iface, "L", Value::Int(1)).ok());
+  EXPECT_GT(store_.Get(iface).value()->version(), v0);
 }
 
 }  // namespace

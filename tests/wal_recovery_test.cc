@@ -15,6 +15,7 @@
 
 #include "core/database.h"
 #include "core/paper_schemas.h"
+#include "fault/failpoint.h"
 #include "persist/dump.h"
 #include "versions/selection.h"
 #include "wal/checkpoint.h"
@@ -363,19 +364,26 @@ TEST(RecoveryMatrixTest, AcknowledgedButLostWritesRecoverToADurablePrefix) {
     ASSERT_TRUE((*db)->Close().ok());
   }
 
-  // Second pass: the wal itself writes through FailpointFactory — the
-  // kernel "acknowledges" every byte past the budget and drops it. The
+  // Second pass: the wal's segment is cut by the `wal.file.cut` failpoint —
+  // the kernel "acknowledges" every byte past the budget and drops it. The
   // workload keeps succeeding; recovery must land on the durability point
   // covered by the bytes that actually survived. The record stream is
   // deterministic, so the oracle byte offsets carry over.
+  fault::FailpointRegistry& failpoints = fault::FailpointRegistry::Global();
   for (uint64_t budget : {uint64_t{0}, uint64_t{97}, total_bytes / 3,
                           total_bytes / 2, total_bytes + 1000}) {
     const std::string dir = TestDir("failpoint_live");
     {
       DurabilityOptions options;
       options.wal.sync = SyncPolicy::kAlways;  // sync lies after the trigger
-      options.wal.file_factory = FailpointFactory(budget);
+      // Open's own checkpoint rotates past the first segment it opens; the
+      // cut lands on the second, the one the workload writes.
+      Status armed = failpoints.ArmFromString(
+          std::string(fault::sites::kWalFileCut) +
+          " cut=" + std::to_string(budget) + " --skip=1 --times=1");
+      ASSERT_TRUE(armed.ok()) << armed.ToString();
       auto db = Database::Open(dir, options);
+      failpoints.DisarmAll();
       ASSERT_TRUE(db.ok()) << db.status().ToString();
       Status workload = RunScriptedWorkload((*db).get(), [] {});
       ASSERT_TRUE(workload.ok()) << workload.ToString();

@@ -637,7 +637,7 @@ std::vector<std::string> TmpFilesIn(const std::string& dir) {
 TEST(AtomicWriteFileTest, FailedWriteUnlinksItsTempFile) {
   std::string dir = TestDir("atomic_unlink");
   std::string target = (fs::path(dir) / "checkpoint.db").string();
-  FileFactory failing =
+  auto failing =
       [](const std::string& path) -> Result<std::unique_ptr<WritableFile>> {
     CADDB_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> base,
                            OpenWritableFile(path));
